@@ -1,0 +1,43 @@
+//! The benchmark's own seeded generator (SplitMix64). Inputs are drawn
+//! here, not with the simulator's RNG, so a change to the program can never
+//! change the inputs it is measured on.
+
+#[derive(Debug, Clone)]
+pub struct Rng(u64);
+
+impl Rng {
+    pub fn new(seed: u64) -> Rng {
+        Rng(seed ^ 0x6e61_6e6f_7369_6d00)
+    }
+
+    pub fn next_u64(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Uniform in `[0, 1)`.
+    pub fn unit(&mut self) -> f64 {
+        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    /// Uniform in `[lo, hi)`, rounded to three decimals so the value has
+    /// one exact text form in a deck or a JSON request.
+    pub fn value(&mut self, lo: f64, hi: f64) -> f64 {
+        ((lo + (hi - lo) * self.unit()) * 1000.0).round() / 1000.0
+    }
+
+    /// Uniform index in `0..n` (`n > 0`).
+    pub fn below(&mut self, n: usize) -> usize {
+        (self.next_u64() % n as u64) as usize
+    }
+
+    pub fn shuffle<T>(&mut self, items: &mut [T]) {
+        for i in (1..items.len()).rev() {
+            let j = self.below(i + 1);
+            items.swap(i, j);
+        }
+    }
+}
