@@ -12,8 +12,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use nanosim::prelude::*;
-use nanosim_numeric::solve::{LinearSolver, PrecisionMode, SparseLuSolver};
-use nanosim_numeric::sparse::{BatchedLu, CsrMatrix, OrderingChoice, PivotStrategy, SparseLu};
+use nanosim_numeric::sparse::{OrderingChoice, PivotStrategy, SparseLu};
 use std::hint::black_box;
 
 const ORDERINGS: [OrderingChoice; 3] = [
@@ -110,38 +109,6 @@ fn bench_solve(c: &mut Criterion) {
                 })
             });
 
-            // Mixed-precision solve (f32 panels + f64 refinement), gated:
-            // the golden mesh workloads are well-conditioned, so refinement
-            // must converge without ever falling back to the f64 path.
-            let mut mixed = SparseLuSolver::with_ordering(ordering);
-            mixed.set_precision(PrecisionMode::Mixed);
-            let mut xm = Vec::new();
-            group.bench_function(&format!("mixed_{tag}"), |bch| {
-                bch.iter(|| {
-                    mixed
-                        .solve_into(black_box(&a), &b, &mut xm, &mut flops)
-                        .expect("solves")
-                })
-            });
-            let mstats = mixed.lu_stats();
-            assert!(
-                mstats.f32_panel_solves > 0,
-                "mesh{n} {tag}: mixed solves never took the f32 path"
-            );
-            assert_eq!(
-                mstats.precision_fallbacks, 0,
-                "mesh{n} {tag}: mixed precision fell back on a healthy mesh"
-            );
-            lu.solve_into(&b, &mut x, &mut w, &mut flops)
-                .expect("solves");
-            let scale = x.iter().fold(1.0f64, |m, v| m.max(v.abs()));
-            for (m, f) in xm.iter().zip(x.iter()) {
-                assert!(
-                    (m - f).abs() <= 1e-12 * scale,
-                    "mesh{n} {tag}: mixed {m} vs f64 {f}"
-                );
-            }
-
             // Refactor paths (values-only updates — the sweep/transient
             // hot operation).
             let mut lu_blocked = lu.clone();
@@ -162,52 +129,6 @@ fn bench_solve(c: &mut Criterion) {
             });
         }
 
-        // Ensemble-batched factorization (mesh20/mesh40): one interleaved
-        // k-lane batch vs a shared solver re-refactoring at every path
-        // switch — the pre-`BatchedLu` way to run per-path parameter
-        // spread over a T-step window. Recorded, not benched: the ratio is
-        // a pure flop count.
-        if n >= 20 {
-            const T_STEPS: u64 = 100;
-            let lanes: Vec<CsrMatrix> = (0..K)
-                .map(|r| {
-                    let mut m = a.clone();
-                    for (i, v) in m.values_mut().iter_mut().enumerate() {
-                        *v *= 1.0 + 1e-3 * (((i + r) % 5) as f64);
-                    }
-                    m
-                })
-                .collect();
-            let lane_refs: Vec<&CsrMatrix> = lanes.iter().collect();
-            let mut fc = FlopCounter::new();
-            BatchedLu::factor_ordered(
-                &lane_refs,
-                OrderingChoice::Natural,
-                PivotStrategy::default(),
-                &mut fc,
-            )
-            .expect("factors");
-            let per_path_batched = fc.total() as f64 / K as f64;
-            let mut fs = FlopCounter::new();
-            let mut shared = SparseLu::factor_ordered(
-                &lanes[0],
-                OrderingChoice::Natural,
-                PivotStrategy::default(),
-                &mut fs,
-            )
-            .expect("factors");
-            let before = fs.total();
-            shared.refactor(&lanes[1], &mut fs).expect("refactors");
-            let r_switch = fs.total() - before;
-            let per_path_scalar = (T_STEPS * r_switch) as f64;
-            println!(
-                "  mesh{n} batched-vs-scalar factor flops ({K} lanes, {T_STEPS} steps): \
-                 batched {:.0}/path, per-switch refactor {:.0}/path, ratio {:.1}x",
-                per_path_batched,
-                per_path_scalar,
-                per_path_scalar / per_path_batched,
-            );
-        }
         group.finish();
     }
 }

@@ -10,9 +10,9 @@
 
 use crate::Result;
 use nanosim_circuit::{Circuit, MnaSystem};
-use nanosim_numeric::solve::{LinearSolver, LuStats, PrecisionMode, SparseLuSolver};
+use nanosim_numeric::solve::{LinearSolver, LuStats, SparseLuSolver};
 use nanosim_numeric::sparse::{CsrMatrix, OrderingChoice, TripletMatrix};
-use nanosim_numeric::{FaultPlan, FlopCounter};
+use nanosim_numeric::{BudgetMeter, FaultPlan, FlopCounter};
 
 /// Pre-stamped circuit matrices: the linear part of `G`, the full `C`, and
 /// the MNA structure. Engines build an [`AssemblyWorkspace`] from these and
@@ -483,20 +483,6 @@ impl AssemblyWorkspace {
     pub fn ordering_name(&self) -> &'static str {
         self.solver.ordering_name()
     }
-
-    /// Selects the working precision of the embedded solver's triangular
-    /// solves (see [`PrecisionMode`]): `Mixed` runs f32 panel sweeps
-    /// polished by f64 refinement, with automatic per-solve fallback.
-    /// Factorizations always stay f64.
-    pub fn set_precision(&mut self, mode: PrecisionMode) {
-        self.solver.set_precision(mode);
-    }
-
-    /// The embedded solver's working precision.
-    #[allow(dead_code)] // accessor kept for tests / diagnostics
-    pub fn precision(&self) -> PrecisionMode {
-        self.solver.precision()
-    }
 }
 
 /// Names of all MNA variables in column order: non-ground node names first,
@@ -524,6 +510,47 @@ pub(crate) fn branch_voltage(x: &[f64], var_plus: Option<usize>, var_minus: Opti
     let vp = var_plus.map_or(0.0, |i| x[i]);
     let vm = var_minus.map_or(0.0, |i| x[i]);
     vp - vm
+}
+
+/// Number of points of a DC sweep from `start` to `stop` (inclusive) in
+/// increments of `step` — the one point formula every sweep engine uses.
+///
+/// # Errors
+/// [`crate::SimError::InvalidConfig`] for a zero, non-finite or
+/// wrong-signed step, and for a point count so large that one `f64`
+/// column of it could not be allocated.
+pub(crate) fn sweep_point_count(start: f64, stop: f64, step: f64) -> crate::Result<usize> {
+    let invalid = |why: &str| crate::SimError::InvalidConfig {
+        context: format!("dc sweep {start}..{stop} with step {step}{why}"),
+    };
+    if step == 0.0 || !step.is_finite() || !((stop - start) * step >= 0.0) {
+        return Err(invalid(""));
+    }
+    // The longest `Vec<f64>` an allocation can describe.
+    let max_points = (isize::MAX as usize / std::mem::size_of::<f64>()) as f64;
+    let intervals = ((stop - start) / step).round();
+    if !(intervals < max_points) {
+        return Err(invalid(": too many points"));
+    }
+    Ok(intervals as usize + 1)
+}
+
+/// Charges a DC sweep's whole result — `n_points` rows of `n_cols` `f64`
+/// columns — to `meter`. Sweeps call this before any solve or allocation
+/// that grows with the point count, so a byte budget too small for the
+/// sweep fails first, and identically at every worker count.
+///
+/// # Errors
+/// [`crate::SimError::BudgetExceeded`] when the result passes the byte cap.
+pub(crate) fn charge_sweep_result(
+    meter: &mut BudgetMeter,
+    n_points: usize,
+    n_cols: usize,
+) -> crate::Result<()> {
+    let bytes = (n_points as u64).saturating_mul(8 * n_cols as u64);
+    meter.charge_bytes(bytes).map_err(|stop| {
+        crate::SimError::budget_exceeded(stop, format!("dc sweep of {n_points} points"))
+    })
 }
 
 /// Validates that `source` names an *independent* V/I source that a DC
@@ -704,33 +731,6 @@ mod tests {
         let mut xc = Vec::new();
         clean.factor_solve(&rhs, &mut xc, &mut flops).unwrap();
         assert_eq!(x, xc);
-    }
-
-    #[test]
-    fn mixed_precision_workspace_matches_f64_to_refinement_tolerance() {
-        let m = CircuitMatrices::new(&divider()).unwrap();
-        let mut ws = AssemblyWorkspace::new(&m, false, false, OrderingChoice::default());
-        assert_eq!(ws.precision(), PrecisionMode::F64);
-        ws.set_precision(PrecisionMode::Mixed);
-        assert_eq!(ws.precision(), PrecisionMode::Mixed);
-        ws.begin();
-        let mut rhs = vec![0.0; 3];
-        m.mna.stamp_rhs(0.0, &mut rhs);
-        let mut x = Vec::new();
-        let mut flops = FlopCounter::new();
-        ws.factor_solve(&rhs, &mut x, &mut flops).unwrap();
-        let lu = ws.lu_stats();
-        assert!(lu.f32_panel_solves >= 1, "mixed path ran: {lu:?}");
-        assert_eq!(lu.precision_fallbacks, 0, "healthy deck never falls back");
-
-        let mut f64_ws = AssemblyWorkspace::new(&m, false, false, OrderingChoice::default());
-        f64_ws.begin();
-        let mut xf = Vec::new();
-        f64_ws.factor_solve(&rhs, &mut xf, &mut flops).unwrap();
-        let scale = xf.iter().fold(0.0f64, |a, v| a.max(v.abs()));
-        for (a, b) in x.iter().zip(xf.iter()) {
-            assert!((a - b).abs() <= 1e-12 * scale.max(1.0), "{a} vs {b}");
-        }
     }
 
     #[test]

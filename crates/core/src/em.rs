@@ -51,7 +51,7 @@ use crate::{Result, SimError};
 use nanosim_circuit::Circuit;
 use nanosim_numeric::parallel::try_par_map;
 use nanosim_numeric::rng::Pcg64;
-use nanosim_numeric::sparse::{BatchedLu, CsrMatrix, OrderingChoice, PivotStrategy, SparseLu};
+use nanosim_numeric::sparse::{CsrMatrix, OrderingChoice, PivotStrategy, SparseLu};
 use nanosim_numeric::stats::{percentile, RunningStats};
 use nanosim_numeric::{BudgetMeter, FlopCounter};
 use nanosim_sde::wiener::WienerPath;
@@ -84,10 +84,9 @@ pub struct EmOptions {
     /// Monte-Carlo path scales every capacitance entry and the conductance
     /// stamp by independent factors drawn uniformly from `[1-s, 1+s]`
     /// (path-ordered stream seeded from [`EmOptions::seed`]). With
-    /// `s > 0` every chunk factors its paths' distinct `C` matrices as one
-    /// interleaved [`BatchedLu`] batch and advances them in lockstep;
-    /// `s = 0` (the default) keeps the single shared factorization and is
-    /// bit-identical to previous behavior. Ignored by
+    /// `s > 0` every chunk factors its first path's `C` once and refactors
+    /// a copy of that factorization for each path's own `C`; `s = 0` (the
+    /// default) keeps the single shared factorization. Ignored by
     /// [`EmEngine::run_with_paths`], which integrates nominal parameters.
     pub param_spread: f64,
 }
@@ -340,8 +339,8 @@ impl EmEngine {
         };
         // Nominal parameters: factor C once; the factorization is immutable
         // and shared by every worker (each solves into its own buffers).
-        // With per-path spread each chunk instead factors its paths' C
-        // matrices as one interleaved batch.
+        // With per-path spread each chunk instead refactors one copy of
+        // its first path's factorization per path.
         let c_lu = if variation.is_none() {
             Some(SparseLu::factor(&mats.c_csr, &mut flops)?)
         } else {
@@ -509,11 +508,10 @@ impl EmEngine {
     /// `(variable, step)` accumulator the paths still push in ascending
     /// path order, so the reduction is bit-identical to per-path stepping.
     ///
-    /// With `variation` set the chunk instead factors its paths' distinct
-    /// capacitance matrices once as one interleaved [`BatchedLu`] batch and
-    /// each step runs a single lane-parallel batched solve — one elimination
-    /// traversal per step for the whole chunk instead of a refactor per
-    /// path switch.
+    /// With `variation` set the chunk instead factors its first path's
+    /// capacitance matrix once, refactors one copy of that factorization
+    /// per path (same ordering and pivot order, the path's own values) and
+    /// solves each path against its own factors every step.
     fn simulate_chunk(
         &self,
         mats: &CircuitMatrices,
@@ -532,22 +530,32 @@ impl EmEngine {
         let mut stats = EngineStats::new();
         let mut flops = FlopCounter::new();
 
-        // Per-path C factors advance as one interleaved batch.
-        let batch = match variation {
+        // Per-path C factors: one pivoting factorization of the first
+        // path's matrix fixes the structure, then each path refactors its
+        // own copy with its own values.
+        let path_lus = match variation {
             Some(var) => {
+                let cap_mats = &var.cap_mats[lo..lo + npaths];
                 let before = flops.total();
-                let lane_mats: Vec<&CsrMatrix> = var.cap_mats[lo..lo + npaths].iter().collect();
-                let b = BatchedLu::factor_ordered(
-                    &lane_mats,
+                let base = SparseLu::factor_ordered(
+                    &cap_mats[0],
                     OrderingChoice::Natural,
                     PivotStrategy::default(),
                     &mut flops,
                 )?;
                 stats.full_factors += 1;
-                stats.batched_factors += 1;
                 stats.factor_flops += flops.total() - before;
-                stats.min_recip_pivot = stats.min_recip_pivot.min(b.min_recip_pivot());
-                Some(b)
+                let before = flops.total();
+                let mut lus = Vec::with_capacity(npaths);
+                for c in cap_mats {
+                    let mut lu = base.clone();
+                    let ratio = lu.refactor_tolerant(c, &mut flops)?;
+                    stats.min_recip_pivot = stats.min_recip_pivot.min(ratio);
+                    lus.push(lu);
+                }
+                stats.refactors += npaths as u64;
+                stats.refactor_flops += flops.total() - before;
+                Some(lus)
             }
             None => None,
         };
@@ -600,10 +608,21 @@ impl EmEngine {
                 )?;
                 rhs_block[p * dim..(p + 1) * dim].copy_from_slice(&state.rhs);
             }
-            // One factor traversal advances the whole chunk.
-            match (&batch, c_lu) {
-                (Some(b), _) => {
-                    b.solve_all_into(&rhs_block, &mut delta_block, &mut solve_work, &mut flops)?
+            // Nominal parameters: one factor traversal advances the whole
+            // chunk. With spread every path solves against its own factors.
+            match (&path_lus, c_lu) {
+                (Some(lus), _) => {
+                    delta_block.resize(dim * npaths, 0.0);
+                    for (p, lu) in lus.iter().enumerate() {
+                        let span = p * dim..(p + 1) * dim;
+                        lu.solve_into(
+                            &rhs_block[span.clone()],
+                            &mut state.delta,
+                            &mut solve_work,
+                            &mut flops,
+                        )?;
+                        delta_block[span].copy_from_slice(&state.delta);
+                    }
                 }
                 (None, Some(lu)) => lu.solve_many_into(
                     &rhs_block,
@@ -743,8 +762,8 @@ impl EmEngine {
 #[derive(Debug)]
 struct PathVariation {
     /// One capacitance matrix per path, identical sparsity pattern to the
-    /// nominal `C` (values jittered, structure untouched) — the contract
-    /// [`BatchedLu`] needs to interleave them into one factor batch.
+    /// nominal `C` (values jittered, structure untouched) — what lets each
+    /// path refactor a copy of its chunk's first factorization.
     cap_mats: Vec<CsrMatrix>,
     /// Per-path conductance scale applied to `G·x` during RHS assembly.
     g_scale: Vec<f64>,
@@ -893,11 +912,12 @@ mod tests {
 
     #[test]
     fn param_spread_batches_factors_and_stays_thread_deterministic() {
-        // 21 paths over PATH_CHUNK=8 -> 3 chunks, each factoring its lanes
-        // as one interleaved batch. The chunk decomposition depends only on
-        // path indices, so the spread ensemble is bit-identical at every
-        // worker count, exactly like the nominal path. A coupling cap makes
-        // C non-diagonal so the batched elimination does real work.
+        // 21 paths over PATH_CHUNK=8 -> 3 chunks (8 + 8 + 5 paths). Each
+        // chunk factors its first path's C once and refactors one copy per
+        // path. The chunk decomposition depends only on path indices, so
+        // the spread ensemble is bit-identical at every worker count,
+        // exactly like the nominal path. A coupling cap makes C
+        // non-diagonal so the elimination does real work.
         let mut ckt = noisy_rc(1e-9, 1e-3);
         let n = ckt.node("v");
         let n2 = ckt.node("v2");
@@ -913,24 +933,70 @@ mod tests {
             ..EmOptions::default()
         };
         let serial = EmEngine::new(opts.clone()).run(&ckt, 1e-10).unwrap();
-        assert_eq!(serial.stats.batched_factors, 3);
-        assert_eq!(serial.stats.full_factors, 3);
+        assert_eq!(serial.stats.full_factors, 3, "one factor per chunk");
+        assert_eq!(serial.stats.refactors, 21, "one refactor per path");
+        assert_eq!(serial.stats.batched_factors, 0);
         assert!(serial.stats.factor_flops > 0);
+        assert!(serial.stats.refactor_flops > 0);
+        assert_eq!(serial.stats.linear_solves, 21 * 20);
         // Spread jitters C and scales G per path: with drive the paths now
         // disagree even before noise does.
         let sd = serial.std_waveform("v").unwrap();
         assert!(sd.final_value() > 0.0);
-        for threads in [2, 3, 8] {
+        // Per-node final mean and peak statistics recorded from the
+        // interleaved batch factorization this path replaced, checked to
+        // the 1e-12-of-scale bound that factorization was held to.
+        let reference = [
+            (
+                "v",
+                0.08248021245715348,
+                0.08250463952104305,
+                0.09045151729640272,
+            ),
+            (
+                "v2",
+                0.013196410155559583,
+                0.013202960078100264,
+                0.014764010060796294,
+            ),
+        ];
+        let close = |got: f64, want: f64| (got - want).abs() <= 1e-12 * want.abs().max(1.0);
+        for (name, mean, mean_peak, p95_peak) in reference {
+            let got_mean = serial.mean_waveform(name).unwrap().final_value();
+            let peak = serial.peak_summary(name).unwrap();
+            assert!(close(got_mean, mean), "{name} mean {got_mean} vs {mean}");
+            assert!(
+                close(peak.mean_peak, mean_peak),
+                "{name} mean peak {} vs {mean_peak}",
+                peak.mean_peak
+            );
+            assert!(
+                close(peak.p95_peak, p95_peak),
+                "{name} p95 peak {} vs {p95_peak}",
+                peak.p95_peak
+            );
+        }
+        for threads in [2, 3, 4, 8] {
             let par = EmEngine::new(EmOptions {
                 threads,
                 ..opts.clone()
             })
             .run(&ckt, 1e-10)
             .unwrap();
+            assert_eq!(par.stats.full_factors, 3);
+            assert_eq!(par.stats.refactors, 21);
             for name in par.names() {
                 let a = serial.mean_waveform(name).unwrap();
                 let b = par.mean_waveform(name).unwrap();
                 assert_eq!(a.values(), b.values(), "threads={threads} {name}");
+                let a = serial.std_waveform(name).unwrap();
+                let b = par.std_waveform(name).unwrap();
+                assert_eq!(a.values(), b.values(), "threads={threads} {name}");
+                assert_eq!(
+                    serial.peak_summary(name),
+                    par.peak_summary(name),
+                    "threads={threads} {name}"
+                );
             }
         }
     }

@@ -12,7 +12,8 @@
 //! current stepping approach" of \[2\]).
 
 use crate::assemble::{
-    branch_voltage, mna_var_names, override_source_rhs, require_sweepable_source, CircuitMatrices,
+    branch_voltage, mna_var_names, override_source_rhs, require_sweepable_source,
+    sweep_point_count, CircuitMatrices,
 };
 use crate::report::EngineStats;
 use crate::waveform::{DcSweepResult, TransientResult};
@@ -155,17 +156,12 @@ impl PwlEngine {
         stop: f64,
         step: f64,
     ) -> Result<DcSweepResult> {
-        if step == 0.0 || !step.is_finite() || (stop - start) * step < 0.0 {
-            return Err(SimError::InvalidConfig {
-                context: format!("dc sweep {start}..{stop} with step {step}"),
-            });
-        }
+        let n_points = sweep_point_count(start, stop, step)?;
         let t0 = Instant::now();
         let mats = CircuitMatrices::new(circuit)?;
         require_sweepable_source(&mats.mna, source)?;
         let tables = self.tabulate_all(&mats);
         let mut stats = EngineStats::new();
-        let n_points = (((stop - start) / step).round() as i64 + 1).max(1) as usize;
 
         let var_names = mna_var_names(&mats.mna);
         let mut names = var_names.clone();

@@ -2,7 +2,8 @@
 //! state.
 
 use crate::assemble::{
-    branch_voltage, mna_var_names, require_sweepable_source, AssemblyWorkspace, CircuitMatrices,
+    branch_voltage, charge_sweep_result, mna_var_names, require_sweepable_source,
+    sweep_point_count, AssemblyWorkspace, CircuitMatrices,
 };
 use crate::em::EmEngine;
 use crate::error::Forensics;
@@ -19,7 +20,7 @@ use crate::swec::{DcMode, SwecDcSweep, SwecTransient};
 use crate::{Result, SimError};
 use nanosim_circuit::Circuit;
 use nanosim_numeric::parallel::{try_par_map, try_par_map_partial};
-use nanosim_numeric::solve::{LuStats, PrecisionMode};
+use nanosim_numeric::solve::LuStats;
 use nanosim_numeric::sparse::OrderingChoice;
 use nanosim_numeric::{Budget, BudgetMeter, CancelToken, FlopCounter};
 use std::time::Instant;
@@ -73,15 +74,6 @@ pub struct SimOptions {
     /// Preflight is pattern-only — it performs no factorization and no
     /// numeric solve, so results are bit-identical with it on or off.
     pub preflight: PreflightMode,
-    /// Working precision of the session's sparse solves (default
-    /// [`PrecisionMode::F64`]). [`PrecisionMode::Mixed`] runs panel solves
-    /// in `f32` and polishes with `f64` iterative refinement to a residual
-    /// of at most `1e-12` of scale, falling back to the full `f64` path
-    /// (counted in [`LuStats::precision_fallbacks`]) whenever refinement
-    /// stops contracting — accuracy is gated, only the work mix changes.
-    /// Applied to every workspace the session creates, including sharded
-    /// sweep clones.
-    pub precision: PrecisionMode,
 }
 
 /// A simulation session bound to one circuit.
@@ -387,7 +379,6 @@ impl Simulator {
     fn ensure_dc_ws(&mut self) {
         if self.dc_ws.is_none() {
             let mut ws = AssemblyWorkspace::new(&self.mats, false, false, self.opts.ordering);
-            ws.set_precision(self.opts.precision);
             if let Some(plan) = &self.fault {
                 ws.arm_faults(plan.clone());
             }
@@ -399,7 +390,6 @@ impl Simulator {
     fn ensure_tran_ws(&mut self) {
         if self.tran_ws.is_none() {
             let mut ws = AssemblyWorkspace::new(&self.mats, false, true, self.opts.ordering);
-            ws.set_precision(self.opts.precision);
             if let Some(plan) = &self.fault {
                 ws.arm_faults(plan.clone());
             }
@@ -520,16 +510,21 @@ impl Simulator {
             options,
             plan,
         } = req;
-        if step == 0.0 || !step.is_finite() || (stop - start) * step < 0.0 {
-            return Err(SimError::InvalidConfig {
-                context: format!("dc sweep {start}..{stop} with step {step}"),
-            });
-        }
+        let n_points = sweep_point_count(start, stop, step)?;
         require_sweepable_source(&self.mats.mna, &source)?;
         let t0 = Instant::now();
         self.ensure_dc_ws();
         let engine = SwecDcSweep::new(options);
         let mut run_meter = meter.fork();
+        // The result shape is known up front: charge the whole payload
+        // (axis + every output column) before the warm solve and before
+        // any chunk work is fanned out, so a byte budget too small for the
+        // sweep fails immediately and identically at every worker count.
+        let n_cols = 1
+            + self.mats.mna.dim()
+            + self.mats.mna.nonlinear_bindings().len()
+            + self.mats.mna.mosfet_bindings().len();
+        charge_sweep_result(&mut run_meter, n_points, n_cols)?;
         let mut warm_stats = EngineStats::new();
         let warm_lu = {
             // Warm the session workspace with one assembly + solve at the
@@ -553,24 +548,8 @@ impl Simulator {
             warm_stats.absorb_lu(&lu0, &warm_lu);
             warm_lu
         };
-        let n_points = ((stop - start) / step).round() as i64 + 1;
-        let n_points = n_points.max(1) as usize;
         let values: Vec<f64> = (0..n_points).map(|k| start + step * k as f64).collect();
         let n_chunks = n_points.div_ceil(SWEEP_CHUNK);
-
-        // The result shape is known up front: charge the whole payload
-        // (axis + every output column) before any chunk work is fanned out,
-        // so a byte budget too small for the sweep fails immediately and
-        // identically at every worker count.
-        let n_cols = 1
-            + self.mats.mna.dim()
-            + self.mats.mna.nonlinear_bindings().len()
-            + self.mats.mna.mosfet_bindings().len();
-        run_meter
-            .charge_bytes(8 * (n_points as u64) * (n_cols as u64))
-            .map_err(|stop| {
-                SimError::budget_exceeded(stop, format!("dc sweep of {n_points} points"))
-            })?;
 
         // Every chunk past the first begins its continuation ramp at the
         // same state (`x = 0`, `Geq(0)` — exactly the warmed matrix), so

@@ -11,8 +11,8 @@
 //! solution (continuation), so a handful of iterations usually suffice.
 
 use crate::assemble::{
-    branch_voltage, mna_var_names, override_source_rhs, require_sweepable_source,
-    AssemblyWorkspace, CircuitMatrices,
+    branch_voltage, charge_sweep_result, mna_var_names, override_source_rhs,
+    require_sweepable_source, sweep_point_count, AssemblyWorkspace, CircuitMatrices,
 };
 use crate::error::Forensics;
 use crate::report::EngineStats;
@@ -84,19 +84,13 @@ impl SwecDcSweep {
         stop: f64,
         step: f64,
     ) -> Result<DcSweepResult> {
-        if step == 0.0 || !step.is_finite() || (stop - start) * step < 0.0 {
-            return Err(SimError::InvalidConfig {
-                context: format!("dc sweep {start}..{stop} with step {step}"),
-            });
-        }
+        let n_points = sweep_point_count(start, stop, step)?;
         let t0 = Instant::now();
         let mats = CircuitMatrices::new(circuit)?;
         require_sweepable_source(&mats.mna, source)?;
         let mut stats = EngineStats::new();
         let mut ws = AssemblyWorkspace::new(&mats, false, false, OrderingChoice::default());
         let mut buf = DcBuffers::default();
-        let n_points = ((stop - start) / step).round() as i64 + 1;
-        let n_points = n_points.max(1) as usize;
 
         let var_names = mna_var_names(&mats.mna);
         let mut names = var_names.clone();
@@ -106,16 +100,11 @@ impl SwecDcSweep {
         for m in mats.mna.mosfet_bindings() {
             names.push(format!("I({})", m.name));
         }
-        let mut columns: Vec<Vec<f64>> = vec![Vec::with_capacity(n_points); names.len()];
-        let mut sweep = Vec::with_capacity(n_points);
-
         // The result shape is known up front: charge it all before any work.
         let mut run_meter = self.meter.fork();
-        run_meter
-            .charge_bytes(8 * (n_points as u64) * (1 + names.len() as u64))
-            .map_err(|stop| {
-                SimError::budget_exceeded(stop, format!("dc sweep of {n_points} points"))
-            })?;
+        charge_sweep_result(&mut run_meter, n_points, 1 + names.len())?;
+        let mut columns: Vec<Vec<f64>> = vec![Vec::with_capacity(n_points); names.len()];
+        let mut sweep = Vec::with_capacity(n_points);
 
         let mut x = vec![0.0; mats.mna.dim()];
         for k in 0..n_points {

@@ -46,8 +46,7 @@
 //! cache-friendly and allocation-free.
 
 use super::kernels::{
-    count_col_fma, nonzero_lanes, panel_update, panel_update_f32, panel_update_multi,
-    SupernodePlan, MAX_SUPERNODE,
+    count_col_fma, nonzero_lanes, panel_update, panel_update_multi, SupernodePlan, MAX_SUPERNODE,
 };
 use super::order::OrderingChoice;
 use super::symbolic::SymbolicAnalysis;
@@ -153,15 +152,6 @@ pub struct SparseLu {
     /// dense value panels mirroring the supernodal factor entries (see the
     /// internal `kernels` module).
     pub(crate) plan: SupernodePlan,
-    /// Single-precision mirrors of `l_vals`/`u_vals`/`u_diag`, refreshed
-    /// after every numeric pass while `mixed` is set (empty otherwise —
-    /// zero upkeep for pure-f64 callers). The f64 factors stay canonical:
-    /// pivot health, refactor, and the fallback ladder never read these.
-    pub(crate) l_vals32: Vec<f32>,
-    pub(crate) u_vals32: Vec<f32>,
-    pub(crate) u_diag32: Vec<f32>,
-    /// Whether the f32 mirrors (and the plan's f32 panels) are maintained.
-    pub(crate) mixed: bool,
     /// Smallest `|pivot| / column-max` ratio seen by the most recent
     /// numeric pass (factor or refactor) — the reciprocal pivot-growth
     /// health monitor.
@@ -424,10 +414,6 @@ impl SparseLu {
             csc_vals: values,
             work: x,
             plan,
-            l_vals32: Vec::new(),
-            u_vals32: Vec::new(),
-            u_diag32: Vec::new(),
-            mixed: false,
             worst_ratio,
             worst_col,
         })
@@ -646,9 +632,6 @@ impl SparseLu {
         }
         self.worst_ratio = worst_ratio;
         self.worst_col = worst_col;
-        if self.mixed {
-            self.refresh_f32_mirrors();
-        }
         Ok(worst_ratio)
     }
 
@@ -770,9 +753,6 @@ impl SparseLu {
         }
         self.worst_ratio = worst_ratio;
         self.worst_col = worst_col;
-        if self.mixed {
-            self.refresh_f32_mirrors();
-        }
         Ok(worst_ratio)
     }
 
@@ -793,18 +773,11 @@ impl SparseLu {
         match self.refactor(a, flops) {
             Ok(()) => Ok(true),
             Err(NumericError::PatternChanged { .. }) | Err(NumericError::SingularMatrix { .. }) => {
-                // The fallback builds a fresh `SparseLu`; re-arm the f32
-                // mirror upkeep so mixed-precision callers survive the
-                // re-pivoting transparently.
-                let mixed = self.mixed;
                 *self = if self.sym.matches(a) {
                     SparseLu::factor_symbolic(self.sym.clone(), a, self.strategy, flops)?
                 } else {
                     SparseLu::factor_ordered(a, self.sym.choice(), self.strategy, flops)?
                 };
-                if mixed {
-                    self.set_mixed_precision(true);
-                }
                 Ok(false)
             }
             Err(e) => Err(e),
@@ -875,42 +848,6 @@ impl SparseLu {
         );
         plan.refresh(&self.l_vals, &self.u_vals);
         self.plan = plan;
-        if self.mixed {
-            self.refresh_f32_mirrors();
-        }
-    }
-
-    /// Turns maintenance of the single-precision factor mirrors on or off.
-    /// While on, every numeric pass (factor/refactor, blocked or scalar)
-    /// re-casts `L`/`U` to `f32` — including the `SupernodePlan` panel
-    /// mirrors — so [`SparseLu::solve_into_f32`] always sees current
-    /// values. Turning it on refreshes immediately from the live factors;
-    /// turning it off stops the upkeep (the mirrors keep their last
-    /// contents but are no longer trusted).
-    pub fn set_mixed_precision(&mut self, on: bool) {
-        self.mixed = on;
-        if on {
-            self.refresh_f32_mirrors();
-        }
-    }
-
-    /// Whether the single-precision factor mirrors are maintained.
-    pub fn mixed_precision(&self) -> bool {
-        self.mixed
-    }
-
-    /// Re-casts the f64 factors into the f32 mirrors (and the plan's f32
-    /// panels when the blocked kernels are engaged).
-    fn refresh_f32_mirrors(&mut self) {
-        self.l_vals32.clear();
-        self.l_vals32.extend(self.l_vals.iter().map(|&v| v as f32));
-        self.u_vals32.clear();
-        self.u_vals32.extend(self.u_vals.iter().map(|&v| v as f32));
-        self.u_diag32.clear();
-        self.u_diag32.extend(self.u_diag.iter().map(|&v| v as f32));
-        if self.plan.enabled {
-            self.plan.refresh_f32(&self.l_vals32, &self.u_vals32);
-        }
     }
 
     /// The cached symbolic analysis.
@@ -1088,152 +1025,6 @@ impl SparseLu {
             x[self.sym.fill_perm[k]] = zk;
         }
         Ok(())
-    }
-
-    /// Single-precision triangular solve `A·x ≈ b` over the f32 factor
-    /// mirrors — the fast half of the mixed-precision ladder. The sweeps
-    /// run in pivot index space: through the plan's `f32` panels
-    /// (`panel_update_f32`, `[f32; 8]` lane chunks) when
-    /// the blocked kernels are engaged, and per-entry `f32` column loops
-    /// otherwise (the pivot-space index maps exist below the blocked gate
-    /// too). The RHS is demoted on gather and the result promoted on
-    /// scatter, so callers stay in f64; accuracy is restored by the
-    /// caller's f64 iterative refinement
-    /// ([`crate::solve::SparseLuSolver`]), not here. Flop accounting
-    /// mirrors [`SparseLu::solve_into`] — an f32 fma counts one flop like
-    /// an f64 fma; the win is bandwidth and lane width, not fewer
-    /// operations.
-    ///
-    /// Requires [`SparseLu::set_mixed_precision`]`(true)` beforehand so
-    /// the mirrors are current.
-    ///
-    /// # Errors
-    /// Returns [`NumericError::DimensionMismatch`] if
-    /// `b.len() != self.dim()` or the f32 mirrors are not maintained.
-    pub fn solve_into_f32(
-        &self,
-        b: &[f64],
-        x: &mut Vec<f64>,
-        work: &mut Vec<f32>,
-        flops: &mut FlopCounter,
-    ) -> Result<()> {
-        if b.len() != self.n {
-            return Err(NumericError::DimensionMismatch {
-                context: format!("sparse lu f32 solve: rhs of {} for n={}", b.len(), self.n),
-            });
-        }
-        if !self.mixed || self.l_vals32.len() != self.l_vals.len() {
-            return Err(NumericError::DimensionMismatch {
-                context: "sparse lu f32 solve without mixed-precision mirrors".to_string(),
-            });
-        }
-        let n = self.n;
-        x.resize(n, 0.0);
-        work.resize(n, 0.0);
-        let z = &mut work[..n];
-        let plan = &self.plan;
-        for (k, zk) in z.iter_mut().enumerate() {
-            *zk = b[plan.in_perm[k]] as f32;
-        }
-        let ns = plan.sn_ptr.len() - 1;
-        let mut xs = [0.0f32; MAX_SUPERNODE];
-        let mut active = [0usize; MAX_SUPERNODE];
-        // Forward solve L·z = b' in pivot space over the f32 mirrors.
-        for s in 0..ns {
-            let (k0, k1) = (plan.sn_ptr[s], plan.sn_ptr[s + 1]);
-            let w = k1 - k0;
-            if w == 1 || !plan.enabled || !plan.l_use[s] {
-                for k in k0..k1 {
-                    let val = z[k];
-                    if val != 0.0 {
-                        for p in self.l_colptr[k]..self.l_colptr[k + 1] {
-                            z[plan.l_rows_piv[p] as usize] -= val * self.l_vals32[p];
-                        }
-                        flops.fma((self.l_colptr[k + 1] - self.l_colptr[k]) as u64);
-                    }
-                }
-                continue;
-            }
-            let tri = &plan.l_tri32[plan.l_tri_ptr[s]..plan.l_tri_ptr[s + 1]];
-            let rows = &plan.l_sn_rows[plan.l_rows_ptr[s]..plan.l_rows_ptr[s + 1]];
-            let nr = rows.len();
-            let mut na = 0usize;
-            for c in 0..w {
-                let val = z[k0 + c];
-                xs[c] = val;
-                if val != 0.0 {
-                    active[na] = c;
-                    na += 1;
-                    let base = c * (2 * w - c - 1) / 2;
-                    for (r, &tv) in (c + 1..w).zip(&tri[base..base + (w - 1 - c)]) {
-                        z[k0 + r] -= val * tv;
-                    }
-                    flops.fma((self.l_colptr[k0 + c + 1] - self.l_colptr[k0 + c]) as u64);
-                }
-            }
-            if na > 0 && nr > 0 {
-                let panel = &plan.l_panel32[plan.l_panel_ptr[s]..plan.l_panel_ptr[s + 1]];
-                panel_update_f32(z, rows, panel, w, &xs[..w], &active[..na]);
-            }
-        }
-        // Backward solve U·y = z, columns descending.
-        for s in (0..ns).rev() {
-            let (k0, k1) = (plan.sn_ptr[s], plan.sn_ptr[s + 1]);
-            let w = k1 - k0;
-            if w == 1 || !plan.enabled || !plan.u_use[s] {
-                for k in (k0..k1).rev() {
-                    z[k] /= self.u_diag32[k];
-                    let xk = z[k];
-                    if xk != 0.0 {
-                        for p in self.u_colptr[k]..self.u_colptr[k + 1] {
-                            z[self.u_rows[p]] -= self.u_vals32[p] * xk;
-                        }
-                    }
-                }
-                continue;
-            }
-            let tri = &plan.u_tri32[plan.u_tri_ptr[s]..plan.u_tri_ptr[s + 1]];
-            let rows = &plan.u_sn_rows[plan.u_rows_ptr[s]..plan.u_rows_ptr[s + 1]];
-            let nr = rows.len();
-            let mut na = 0usize;
-            for c in (0..w).rev() {
-                z[k0 + c] /= self.u_diag32[k0 + c];
-                let val = z[k0 + c];
-                xs[c] = val;
-                if val != 0.0 {
-                    active[na] = c;
-                    na += 1;
-                    let base = (c * c - c) / 2;
-                    for r in 0..c {
-                        z[k0 + r] -= tri[base + r] * val;
-                    }
-                }
-            }
-            if na > 0 && nr > 0 {
-                let panel = &plan.u_panel32[plan.u_panel_ptr[s]..plan.u_panel_ptr[s + 1]];
-                panel_update_f32(z, rows, panel, w, &xs[..w], &active[..na]);
-            }
-        }
-        // Flop accounting read off the finished solution, as in the f64
-        // blocked solve.
-        flops.div(n as u64);
-        for (k, &zk) in z.iter().enumerate() {
-            if zk != 0.0 {
-                flops.fma((self.u_colptr[k + 1] - self.u_colptr[k]) as u64);
-            }
-        }
-        for (k, &zk) in z.iter().enumerate() {
-            x[self.sym.fill_perm[k]] = zk as f64;
-        }
-        Ok(())
-    }
-
-    /// Flat factor values `(l_vals, u_vals, u_diag)` (hidden: lets the
-    /// batched-LU bit-identity tests compare stored factor bits without
-    /// widening the public surface).
-    #[doc(hidden)]
-    pub fn factor_values(&self) -> (&[f64], &[f64], &[f64]) {
-        (&self.l_vals, &self.u_vals, &self.u_diag)
     }
 
     /// Batched multi-RHS solve `A·X = B` over `nrhs` right-hand sides,

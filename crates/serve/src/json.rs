@@ -347,22 +347,22 @@ impl Parser<'_> {
                     }
                     self.pos += 1;
                 }
+                Some(b) if b < 0x20 => {
+                    return Err(format!("raw control character at byte {}", self.pos));
+                }
                 Some(_) => {
-                    // Advance by one full UTF-8 character.
-                    let rest = &self.bytes[self.pos..];
-                    let s = match std::str::from_utf8(rest) {
-                        Ok(s) => s,
-                        Err(e) if e.valid_up_to() > 0 => {
-                            std::str::from_utf8(&rest[..e.valid_up_to()]).expect("validated")
-                        }
-                        Err(_) => return Err(format!("invalid utf-8 at byte {}", self.pos)),
-                    };
-                    let c = s.chars().next().expect("nonempty");
-                    if (c as u32) < 0x20 {
-                        return Err(format!("raw control character at byte {}", self.pos));
+                    // Copy the run of plain bytes up to the next quote,
+                    // escape or control byte in one step. All three are
+                    // ASCII, so the run of the (valid UTF-8) input ends on
+                    // a character boundary. Validating only the run keeps
+                    // parsing linear in the input length.
+                    let start = self.pos;
+                    while matches!(self.peek(), Some(b) if b >= 0x20 && b != b'"' && b != b'\\') {
+                        self.pos += 1;
                     }
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
+                        .map_err(|_| format!("invalid utf-8 at byte {start}"))?;
+                    out.push_str(run);
                 }
             }
         }
@@ -468,6 +468,15 @@ mod tests {
     fn depth_limit_holds() {
         let deep = "[".repeat(200) + &"]".repeat(200);
         assert!(parse(&deep).is_err());
+    }
+
+    #[test]
+    fn long_strings_keep_multibyte_text_and_reject_control_bytes() {
+        let text = "Ω µA → 1e-3 ".repeat(2000);
+        let v = parse(&Json::str(text.as_str()).render()).unwrap();
+        assert_eq!(v.as_str(), Some(text.as_str()));
+        let err = parse("\"Ωab\u{1}c\"").unwrap_err();
+        assert_eq!(err, "raw control character at byte 5");
     }
 
     #[test]

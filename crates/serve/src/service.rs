@@ -473,9 +473,6 @@ impl SimService {
                 let elapsed = t0.elapsed();
                 self.stats.full_factors += dataset.stats.full_factors;
                 self.stats.refactors += dataset.stats.refactors;
-                self.stats.f32_panel_solves += dataset.stats.f32_panel_solves;
-                self.stats.precision_fallbacks += dataset.stats.precision_fallbacks;
-                self.stats.batched_factors += dataset.stats.batched_factors;
                 self.stats.record_run(tag, elapsed);
                 let (ff, rf) = (dataset.stats.full_factors, dataset.stats.refactors);
                 // Only complete, unbudgeted runs may seed the result cache:

@@ -84,13 +84,6 @@ pub struct ServeStats {
     pub full_factors: u64,
     /// Values-only refactorizations performed by engine runs.
     pub refactors: u64,
-    /// Triangular solves served by the f32 panel kernels (mixed precision).
-    pub f32_panel_solves: u64,
-    /// Mixed-precision solves that fell back to the full f64 path because
-    /// iterative refinement stopped contracting.
-    pub precision_fallbacks: u64,
-    /// Ensemble chunks factored as one interleaved multi-matrix batch.
-    pub batched_factors: u64,
     /// Requests shed by admission control (`overloaded` responses).
     pub shed: u64,
     /// Runs that failed with [`nanosim_core::SimError::BudgetExceeded`].
@@ -138,18 +131,6 @@ impl ServeStats {
             ),
             ("full_factors".to_string(), Json::from(self.full_factors)),
             ("refactors".to_string(), Json::from(self.refactors)),
-            (
-                "f32_panel_solves".to_string(),
-                Json::from(self.f32_panel_solves),
-            ),
-            (
-                "precision_fallbacks".to_string(),
-                Json::from(self.precision_fallbacks),
-            ),
-            (
-                "batched_factors".to_string(),
-                Json::from(self.batched_factors),
-            ),
             ("shed".to_string(), Json::from(self.shed)),
             (
                 "budget_exceeded".to_string(),

@@ -243,3 +243,81 @@ fn unlimited_budget_is_bit_identical_to_no_budget() {
     }
     assert_eq!(baseline.stats.linear_solves, threaded.stats.linear_solves);
 }
+
+#[test]
+fn unrepresentable_sweep_point_count_is_invalid_config_on_every_engine() {
+    // 5 V in 1e-300 V steps needs ~5e300 points: no engine may overflow
+    // the point formula (a panic under overflow checks, a silent 1-point
+    // sweep otherwise) or try to allocate it.
+    use nanosim::core::pwl::PwlEngine;
+    use nanosim::core::swec::SwecDcSweep;
+    let ckt = nanosim::workloads::rtd_mesh(4);
+    let (start, stop, step) = (0.0, 5.0, 1e-300);
+    let is_invalid = |r: Result<(), SimError>, engine: &str| {
+        assert!(
+            matches!(r, Err(SimError::InvalidConfig { .. })),
+            "{engine}: {r:?}"
+        );
+    };
+    let mut sim = Simulator::new(ckt.clone()).expect("mesh assembles");
+    is_invalid(
+        sim.run(Analysis::dc_sweep("V1", start, stop, step))
+            .map(drop),
+        "session",
+    );
+    is_invalid(
+        SwecDcSweep::new(SwecOptions::default())
+            .run(&ckt, "V1", start, stop, step)
+            .map(drop),
+        "swec",
+    );
+    is_invalid(
+        NrEngine::new(NrOptions::default())
+            .run_dc_sweep(&ckt, "V1", start, stop, step)
+            .map(drop),
+        "nr",
+    );
+    is_invalid(
+        PwlEngine::new(PwlOptions::default())
+            .run_dc_sweep(&ckt, "V1", start, stop, step)
+            .map(drop),
+        "pwl",
+    );
+}
+
+#[test]
+fn huge_sweep_hits_the_byte_budget_before_allocating() {
+    // 1e11 + 1 points would need ~800 GB per column set; a 1 MiB result
+    // cap must refuse it before any point-sized allocation or solve.
+    use nanosim::core::swec::SwecDcSweep;
+    use nanosim::core::BudgetMeter;
+    let ckt = nanosim::workloads::rtd_mesh(4);
+    let (start, stop, step) = (0.0, 3.0, 3e-11);
+    let budget = Budget::unlimited().with_max_result_bytes(1 << 20);
+    let is_byte_stop = |stop: Option<BudgetStop>, engine: &str| {
+        assert_eq!(
+            stop,
+            Some(BudgetStop::ResultBytes { limit: 1 << 20 }),
+            "{engine}"
+        );
+    };
+    for workers in [1usize, 2] {
+        let mut sim = Simulator::new(ckt.clone()).expect("mesh assembles");
+        sim.set_budget(budget);
+        let e = sim
+            .run(Analysis::dc_sweep("V1", start, stop, step).plan(ExecPlan::sharded(workers)))
+            .expect_err("1e11 points cannot fit in 1 MiB");
+        is_byte_stop(e.budget_stop(), "session");
+    }
+    let meter = || BudgetMeter::new(budget, CancelToken::new());
+    let e = SwecDcSweep::new(SwecOptions::default())
+        .with_meter(meter())
+        .run(&ckt, "V1", start, stop, step)
+        .expect_err("1e11 points cannot fit in 1 MiB");
+    is_byte_stop(e.budget_stop(), "swec");
+    let e = NrEngine::new(NrOptions::default())
+        .with_meter(meter())
+        .run_dc_sweep(&ckt, "V1", start, stop, step)
+        .expect_err("1e11 points cannot fit in 1 MiB");
+    is_byte_stop(e.budget_stop(), "nr");
+}
