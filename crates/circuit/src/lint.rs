@@ -1201,15 +1201,16 @@ fn max_bipartite_matching(
     let mut match_of_col: Vec<Option<usize>> = vec![None; n];
     let mut match_of_row: Vec<Option<usize>> = vec![None; n];
     let mut visited = vec![usize::MAX; n];
+    let mut path = Vec::new();
     let mut matched = 0;
     for r in 0..n {
         if augment(
-            r,
             r,
             adj,
             &mut visited,
             &mut match_of_col,
             &mut match_of_row,
+            &mut path,
         ) {
             matched += 1;
         }
@@ -1217,27 +1218,45 @@ fn max_bipartite_matching(
     (matched, match_of_row, match_of_col)
 }
 
+/// One augmenting-path search from `root`, as a depth-first search on an
+/// explicit stack so its depth is not bounded by the thread's stack (a
+/// long chain deck makes the path as long as the chain). `path` holds one
+/// `(row, next adjacency index)` frame per row on the current path; the
+/// visit order is that of the recursive formulation. `root` doubles as the
+/// `visited` stamp of this search.
 fn augment(
-    r: usize,
-    stamp: usize,
+    root: usize,
     adj: &[Vec<usize>],
     visited: &mut [usize],
     match_of_col: &mut [Option<usize>],
     match_of_row: &mut [Option<usize>],
+    path: &mut Vec<(usize, usize)>,
 ) -> bool {
-    for &c in &adj[r] {
-        if visited[c] == stamp {
+    path.clear();
+    path.push((root, 0));
+    while let Some(top) = path.last_mut() {
+        let (r, next) = *top;
+        let Some(&c) = adj[r].get(next) else {
+            path.pop();
+            continue;
+        };
+        top.1 += 1;
+        if visited[c] == root {
             continue;
         }
-        visited[c] = stamp;
-        let free = match match_of_col[c] {
-            None => true,
-            Some(r2) => augment(r2, stamp, adj, visited, match_of_col, match_of_row),
-        };
-        if free {
-            match_of_col[c] = Some(r);
-            match_of_row[r] = Some(c);
-            return true;
+        visited[c] = root;
+        match match_of_col[c] {
+            Some(r2) => path.push((r2, 0)),
+            None => {
+                // Free column: flip every edge on the path, each row taking
+                // the column it last stepped through.
+                for &(r, next) in path.iter() {
+                    let c = adj[r][next - 1];
+                    match_of_col[c] = Some(r);
+                    match_of_row[r] = Some(c);
+                }
+                return true;
+            }
         }
     }
     false
@@ -1360,6 +1379,34 @@ mod tests {
         assert!(r.is_clean(), "{r}");
         assert!(!r.has_errors());
         assert_eq!(r.summary(), "0 errors, 0 warnings");
+    }
+
+    #[test]
+    fn long_chain_lints_on_a_small_stack() {
+        // The structural-rank matching follows augmenting paths as long as
+        // the chain; they must not live on the thread's stack, or a long
+        // deck aborts the whole process on a worker thread.
+        let n = 2_000;
+        let mut ckt = Circuit::new();
+        let mut prev = ckt.node("n0");
+        ckt.add_voltage_source("V1", prev, Circuit::GROUND, SourceWaveform::dc(1.0))
+            .unwrap();
+        for i in 1..=n {
+            let next = if i == n {
+                Circuit::GROUND
+            } else {
+                ckt.node(&format!("n{i}"))
+            };
+            ckt.add_resistor(&format!("R{i}"), prev, next, 1e3).unwrap();
+            prev = next;
+        }
+        let report = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(move || lint_circuit(&ckt))
+            .unwrap()
+            .join()
+            .unwrap();
+        assert!(report.is_clean(), "{report}");
     }
 
     #[test]

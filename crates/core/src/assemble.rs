@@ -8,6 +8,8 @@
 //! that is *refactored* (values-only) instead of re-analyzed every solve,
 //! and reusable right-hand-side/solution buffers.
 
+use crate::report::EngineStats;
+use crate::waveform::DcSweepResult;
 use crate::Result;
 use nanosim_circuit::{Circuit, MnaSystem};
 use nanosim_numeric::solve::{LinearSolver, LuStats, SparseLuSolver};
@@ -535,22 +537,79 @@ pub(crate) fn sweep_point_count(start: f64, stop: f64, step: f64) -> crate::Resu
     Ok(intervals as usize + 1)
 }
 
-/// Charges a DC sweep's whole result — `n_points` rows of `n_cols` `f64`
-/// columns — to `meter`. Sweeps call this before any solve or allocation
-/// that grows with the point count, so a byte budget too small for the
-/// sweep fails first, and identically at every worker count.
-///
-/// # Errors
-/// [`crate::SimError::BudgetExceeded`] when the result passes the byte cap.
-pub(crate) fn charge_sweep_result(
-    meter: &mut BudgetMeter,
-    n_points: usize,
-    n_cols: usize,
-) -> crate::Result<()> {
-    let bytes = (n_points as u64).saturating_mul(8 * n_cols as u64);
-    meter.charge_bytes(bytes).map_err(|stop| {
-        crate::SimError::budget_exceeded(stop, format!("dc sweep of {n_points} points"))
-    })
+/// The output columns of a DC sweep: every MNA variable, then
+/// `I(<device>)` for each nonlinear two-terminal and each MOSFET — the one
+/// column layout the SWEC and Newton sweeps report.
+pub(crate) struct SweepColumns<'a> {
+    mna: &'a MnaSystem,
+    names: Vec<String>,
+    columns: Vec<Vec<f64>>,
+    /// Work of the device-current evaluations behind the `I(...)` columns.
+    flops: FlopCounter,
+}
+
+impl<'a> SweepColumns<'a> {
+    /// Charges the whole result — `n_points` rows of the sweep axis plus
+    /// every column — to `meter`, then allocates it. Sweeps build this
+    /// before any solve, so a byte budget too small for the sweep fails
+    /// first, and identically at every worker count.
+    ///
+    /// # Errors
+    /// [`crate::SimError::BudgetExceeded`] when the result passes the byte cap.
+    pub fn new(
+        mna: &'a MnaSystem,
+        n_points: usize,
+        meter: &mut BudgetMeter,
+    ) -> crate::Result<Self> {
+        let mut names = mna_var_names(mna);
+        for b in mna.nonlinear_bindings() {
+            names.push(format!("I({})", b.name));
+        }
+        for m in mna.mosfet_bindings() {
+            names.push(format!("I({})", m.name));
+        }
+        let bytes = (n_points as u64).saturating_mul(8 * (1 + names.len()) as u64);
+        meter.charge_bytes(bytes).map_err(|stop| {
+            crate::SimError::budget_exceeded(stop, format!("dc sweep of {n_points} points"))
+        })?;
+        let columns = (0..names.len())
+            .map(|_| Vec::with_capacity(n_points))
+            .collect();
+        Ok(SweepColumns {
+            mna,
+            names,
+            columns,
+            flops: FlopCounter::new(),
+        })
+    }
+
+    /// Appends the row of one sweep point's MNA solution `x`, evaluating
+    /// each device's current at it.
+    pub fn push(&mut self, x: &[f64]) {
+        for (column, &xi) in self.columns.iter_mut().zip(x) {
+            column.push(xi);
+        }
+        let mut col = x.len();
+        for b in self.mna.nonlinear_bindings() {
+            let v = branch_voltage(x, b.var_plus, b.var_minus);
+            self.columns[col].push(b.device.current(v, &mut self.flops));
+            col += 1;
+        }
+        for m in self.mna.mosfet_bindings() {
+            let vd = m.var_drain.map_or(0.0, |i| x[i]);
+            let vg = m.var_gate.map_or(0.0, |i| x[i]);
+            let vs = m.var_source.map_or(0.0, |i| x[i]);
+            self.columns[col].push(m.model.ids(vg - vs, vd - vs, &mut self.flops));
+            col += 1;
+        }
+    }
+
+    /// The result over the swept values `sweep` (one per pushed row), with
+    /// the current evaluations' flops added to `stats`.
+    pub fn finish(self, sweep: Vec<f64>, mut stats: EngineStats) -> DcSweepResult {
+        stats.flops += self.flops;
+        DcSweepResult::new(sweep, self.names, self.columns, stats)
+    }
 }
 
 /// Validates that `source` names an *independent* V/I source that a DC

@@ -18,8 +18,8 @@
 //! [`EngineStats`].
 
 use crate::assemble::{
-    branch_voltage, charge_sweep_result, mna_var_names, override_source_rhs,
-    require_sweepable_source, sweep_point_count, AssemblyWorkspace, CircuitMatrices,
+    branch_voltage, mna_var_names, override_source_rhs, require_sweepable_source,
+    sweep_point_count, AssemblyWorkspace, CircuitMatrices, SweepColumns,
 };
 use crate::error::Forensics;
 use crate::report::EngineStats;
@@ -232,18 +232,9 @@ impl NrEngine {
         let mut stats = EngineStats::new();
         let mut ws = AssemblyWorkspace::new(&mats, true, true, OrderingChoice::default());
 
-        let var_names = mna_var_names(&mats.mna);
-        let mut names = var_names.clone();
-        for b in mats.mna.nonlinear_bindings() {
-            names.push(format!("I({})", b.name));
-        }
-        for m in mats.mna.mosfet_bindings() {
-            names.push(format!("I({})", m.name));
-        }
         // The result shape is known up front: charge it all before any work.
         let mut run_meter = self.meter.fork();
-        charge_sweep_result(&mut run_meter, n_points, 1 + names.len())?;
-        let mut columns: Vec<Vec<f64>> = vec![Vec::with_capacity(n_points); names.len()];
+        let mut columns = SweepColumns::new(&mats.mna, n_points, &mut run_meter)?;
         let mut sweep = Vec::with_capacity(n_points);
         let mut outcomes = Vec::with_capacity(n_points);
 
@@ -325,30 +316,13 @@ impl NrEngine {
             x = x_new;
             sweep.push(value);
             outcomes.push(outcome);
-            for (i, &xi) in x.iter().enumerate() {
-                columns[i].push(xi);
-            }
-            let mut col = var_names.len();
-            let mut flops = FlopCounter::new();
-            for b in mats.mna.nonlinear_bindings() {
-                let v = branch_voltage(&x, b.var_plus, b.var_minus);
-                columns[col].push(b.device.current(v, &mut flops));
-                col += 1;
-            }
-            for m in mats.mna.mosfet_bindings() {
-                let vd = m.var_drain.map_or(0.0, |i| x[i]);
-                let vg = m.var_gate.map_or(0.0, |i| x[i]);
-                let vs = m.var_source.map_or(0.0, |i| x[i]);
-                columns[col].push(m.model.ids(vg - vs, vd - vs, &mut flops));
-                col += 1;
-            }
-            stats.flops += flops;
+            columns.push(&x);
             stats.steps += 1;
         }
         stats.absorb_lu(&LuStats::default(), &ws.lu_stats());
         stats.elapsed = t0.elapsed();
         Ok(NrSweepResult {
-            sweep: DcSweepResult::new(sweep, names, columns, stats),
+            sweep: columns.finish(sweep, stats),
             outcomes,
         })
     }

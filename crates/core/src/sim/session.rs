@@ -2,27 +2,25 @@
 //! state.
 
 use crate::assemble::{
-    branch_voltage, charge_sweep_result, mna_var_names, require_sweepable_source,
-    sweep_point_count, AssemblyWorkspace, CircuitMatrices,
+    mna_var_names, require_sweepable_source, sweep_point_count, AssemblyWorkspace, CircuitMatrices,
+    SweepColumns,
 };
 use crate::em::EmEngine;
-use crate::error::Forensics;
 use crate::mla::MlaEngine;
 use crate::pwl::PwlEngine;
 use crate::report::EngineStats;
-use crate::sim::dataset::{AnalysisKind, Axis, Dataset};
+use crate::sim::dataset::Dataset;
 use crate::sim::plan::ExecPlan;
 use crate::sim::request::{
     Analysis, BaselineRequest, DcSweep, EmEnsemble, Mla, Op, Pwl, Transient,
 };
 use crate::swec::dc::DcBuffers;
-use crate::swec::{DcMode, SwecDcSweep, SwecTransient};
+use crate::swec::{SwecDcSweep, SwecTransient};
 use crate::{Result, SimError};
 use nanosim_circuit::Circuit;
 use nanosim_numeric::parallel::{try_par_map, try_par_map_partial};
-use nanosim_numeric::solve::LuStats;
 use nanosim_numeric::sparse::OrderingChoice;
-use nanosim_numeric::{Budget, BudgetMeter, CancelToken, FlopCounter};
+use nanosim_numeric::{Budget, BudgetMeter, CancelToken};
 use std::time::Instant;
 
 /// Sweep points per shard chunk. Chunk boundaries are a function of the
@@ -160,16 +158,7 @@ impl Simulator {
     /// Returns [`SimError::Preflight`] for circuits the analyzer rejects,
     /// and propagates circuit validation / MNA construction failures.
     pub fn with_options(circuit: Circuit, opts: SimOptions) -> Result<Simulator> {
-        let preflight = match opts.preflight {
-            PreflightMode::Off => nanosim_circuit::LintReport::default(),
-            PreflightMode::Enforce | PreflightMode::WarnOnly => {
-                let report = nanosim_circuit::lint_circuit(&circuit);
-                if opts.preflight == PreflightMode::Enforce && report.has_errors() {
-                    return Err(SimError::Preflight(Box::new(report)));
-                }
-                report
-            }
-        };
+        let preflight = run_preflight(&circuit, opts.preflight)?;
         let mats = CircuitMatrices::new(&circuit)?;
         Ok(Simulator {
             circuit,
@@ -253,16 +242,7 @@ impl Simulator {
     /// # }
     /// ```
     pub fn rebind(&mut self, circuit: Circuit) -> Result<bool> {
-        let preflight = match self.opts.preflight {
-            PreflightMode::Off => nanosim_circuit::LintReport::default(),
-            PreflightMode::Enforce | PreflightMode::WarnOnly => {
-                let report = nanosim_circuit::lint_circuit(&circuit);
-                if self.opts.preflight == PreflightMode::Enforce && report.has_errors() {
-                    return Err(SimError::Preflight(Box::new(report)));
-                }
-                report
-            }
-        };
+        let preflight = run_preflight(&circuit, self.opts.preflight)?;
         let mats = CircuitMatrices::new(&circuit)?;
         let had_warm = self.dc_ws.is_some() || self.tran_ws.is_some();
         let mut all_rebound = true;
@@ -375,31 +355,26 @@ impl Simulator {
         Ok(ds)
     }
 
-    /// Lazily creates the no-C workspace, arming any session fault plan.
-    fn ensure_dc_ws(&mut self) {
-        if self.dc_ws.is_none() {
-            let mut ws = AssemblyWorkspace::new(&self.mats, false, false, self.opts.ordering);
+    /// Lazily creates the cached no-C (`with_c = false`) or with-C
+    /// workspace, arming any session fault plan.
+    fn ensure_ws(&mut self, with_c: bool) {
+        let slot = if with_c {
+            &mut self.tran_ws
+        } else {
+            &mut self.dc_ws
+        };
+        if slot.is_none() {
+            let mut ws = AssemblyWorkspace::new(&self.mats, false, with_c, self.opts.ordering);
             if let Some(plan) = &self.fault {
                 ws.arm_faults(plan.clone());
             }
-            self.dc_ws = Some(ws);
-        }
-    }
-
-    /// Lazily creates the with-C workspace, arming any session fault plan.
-    fn ensure_tran_ws(&mut self) {
-        if self.tran_ws.is_none() {
-            let mut ws = AssemblyWorkspace::new(&self.mats, false, true, self.opts.ordering);
-            if let Some(plan) = &self.fault {
-                ws.arm_faults(plan.clone());
-            }
-            self.tran_ws = Some(ws);
+            *slot = Some(ws);
         }
     }
 
     fn run_op(&mut self, op: Op, meter: &BudgetMeter) -> Result<Dataset> {
         let t0 = Instant::now();
-        self.ensure_dc_ws();
+        self.ensure_ws(false);
         let ws = self.dc_ws.as_mut().expect("created above");
         let lu0 = ws.lu_stats();
         let engine = SwecDcSweep::new(op.options).with_meter(meter.fork());
@@ -413,8 +388,8 @@ impl Simulator {
     }
 
     fn run_transient(&mut self, tran: Transient, meter: &BudgetMeter) -> Result<Dataset> {
-        self.ensure_tran_ws();
-        self.ensure_dc_ws();
+        self.ensure_ws(true);
+        self.ensure_ws(false);
         let ws = self.tran_ws.as_mut().expect("created above");
         let op_ws = self.dc_ws.as_mut().expect("created above");
         let engine = SwecTransient::new(tran.options).with_meter(meter.fork());
@@ -482,19 +457,15 @@ impl Simulator {
 
     /// Sharded (or serial — same algorithm, one worker) SWEC DC sweep.
     ///
-    /// The sweep is cut into fixed [`SWEEP_CHUNK`]-point chunks. The session
-    /// workspace is first warmed with one assembly + solve at the sweep
-    /// start, so every chunk clone inherits the same cached LU symbolic
-    /// analysis and refactors instead of re-factoring. Chunk 0 reproduces
-    /// the legacy serial sweep exactly (full fixed point at the first
-    /// value, continuation after); later chunks warm-start with a forward
-    /// non-iterative continuation ramp from the sweep start to the point
-    /// *before* their range — tracking the same branch a serial
-    /// continuation chain selects through NDR/hysteresis regions — then
-    /// refine that point to self-consistency (keeping the ramp iterate at a
-    /// genuine bistability fold) and continue like the serial sweep would.
-    /// Because chunk boundaries and warm-starts depend only on the point
-    /// index, results are bit-identical for every worker count.
+    /// The sweep is cut into fixed [`SWEEP_CHUNK`]-point chunks, each solved
+    /// by [`SwecDcSweep::sweep_points`] — the point loop of the serial
+    /// engine — on its own clone of the session workspace. That workspace
+    /// is first warmed with one assembly + solve at the sweep start, so
+    /// every clone inherits the same cached LU symbolic analysis and
+    /// refactors instead of re-factoring. Chunk 0 therefore *is* the serial
+    /// sweep; later chunks warm-start with the continuation ramp described
+    /// there. Because chunk boundaries and warm-starts depend only on the
+    /// point index, results are bit-identical for every worker count.
     ///
     /// All chunks' *first* ramp points share one state (`x = 0`, the
     /// warmed `Geq(0)` matrix), so they are computed up front by a single
@@ -513,18 +484,13 @@ impl Simulator {
         let n_points = sweep_point_count(start, stop, step)?;
         require_sweepable_source(&self.mats.mna, &source)?;
         let t0 = Instant::now();
-        self.ensure_dc_ws();
+        self.ensure_ws(false);
         let engine = SwecDcSweep::new(options);
         let mut run_meter = meter.fork();
-        // The result shape is known up front: charge the whole payload
-        // (axis + every output column) before the warm solve and before
-        // any chunk work is fanned out, so a byte budget too small for the
-        // sweep fails immediately and identically at every worker count.
-        let n_cols = 1
-            + self.mats.mna.dim()
-            + self.mats.mna.nonlinear_bindings().len()
-            + self.mats.mna.mosfet_bindings().len();
-        charge_sweep_result(&mut run_meter, n_points, n_cols)?;
+        // The result is charged before the warm solve and before any chunk
+        // work is fanned out, so a byte budget too small for the sweep
+        // fails immediately and identically at every worker count.
+        let mut columns = SweepColumns::new(&self.mats.mna, n_points, &mut run_meter)?;
         let mut warm_stats = EngineStats::new();
         let warm_lu = {
             // Warm the session workspace with one assembly + solve at the
@@ -588,32 +554,32 @@ impl Simulator {
         let base_ws = self.dc_ws.as_ref().expect("created above");
         let mats = &self.mats;
 
-        let rescue_enabled = engine.options().rescue.enabled;
-        let chunk_meter = &run_meter;
-        let (chunks, failure) = try_par_map_partial(n_chunks, plan.workers(), |ci| {
+        // One chunk: points `ci*SWEEP_CHUNK..` on a fresh workspace clone,
+        // approached by a `ramp_steps` warm-start ramp.
+        let run_chunk = |ci: usize, ramp_steps: usize, seed: Option<&[f64]>| {
             let lo = ci * SWEEP_CHUNK;
             let hi = n_points.min(lo + SWEEP_CHUNK);
-            let seed = if ci > 0 {
-                Some(&seeds[ci - 1][..])
-            } else {
-                None
-            };
-            match sweep_chunk(
-                &engine,
+            let mut ws = base_ws.clone();
+            let mut stats = EngineStats::new();
+            let mut xs = Vec::with_capacity(hi - lo);
+            engine.sweep_points(
                 mats,
-                base_ws,
-                warm_lu,
-                &source,
-                start,
-                &values,
-                lo,
-                hi,
-                seed,
-                WARM_START_RAMP,
-                chunk_meter,
-            ) {
-                Ok(c) => Ok(c),
-                Err(SimError::NonConvergence { .. } | SimError::Numeric(_)) if rescue_enabled => {
+                &mut ws,
+                (&source, start, step),
+                lo..hi,
+                (ramp_steps, seed),
+                &mut stats,
+                &run_meter,
+                |x| xs.push(x.to_vec()),
+            )?;
+            stats.absorb_lu(&warm_lu, &ws.lu_stats());
+            Ok(SweepChunk { xs, stats })
+        };
+        let rescue_enabled = engine.options().rescue.enabled;
+        let (chunks, failure) = try_par_map_partial(n_chunks, plan.workers(), |ci| {
+            let seed = ci.checked_sub(1).map(|i| &seeds[i][..]);
+            run_chunk(ci, WARM_START_RAMP, seed)
+                .or_else(|e| match e {
                     // Rescue: retry the whole chunk with an 8x finer
                     // continuation ramp, recomputed locally (the batched
                     // seed only applies to the default ramp). Healthy
@@ -622,30 +588,15 @@ impl Simulator {
                     // count — so sharded results stay bit-identical.
                     // Budget stops are excluded: a chunk killed by the
                     // budget must not burn 8x the work retrying.
-                    match sweep_chunk(
-                        &engine,
-                        mats,
-                        base_ws,
-                        warm_lu,
-                        &source,
-                        start,
-                        &values,
-                        lo,
-                        hi,
-                        None,
-                        WARM_START_RAMP * 8,
-                        chunk_meter,
-                    ) {
-                        Ok(mut c) => {
-                            c.stats.rescues += 1;
-                            c.stats.rescue_rungs += 1;
-                            Ok(c)
-                        }
-                        Err(e) => Err(tag_chunk_failure(e, ci)),
+                    SimError::NonConvergence { .. } | SimError::Numeric(_) if rescue_enabled => {
+                        let mut c = run_chunk(ci, WARM_START_RAMP * 8, None)?;
+                        c.stats.rescues += 1;
+                        c.stats.rescue_rungs += 1;
+                        Ok(c)
                     }
-                }
-                Err(e) => Err(tag_chunk_failure(e, ci)),
-            }
+                    e => Err(e),
+                })
+                .map_err(|e| tag_chunk_failure(e, ci))
         });
 
         // Partial salvage: a sweep killed by its budget keeps the accepted
@@ -669,60 +620,35 @@ impl Simulator {
 
         // Deterministic stitch: solutions and statistics in chunk order.
         let mut stats = warm_stats;
-        let mut solutions: Vec<Vec<f64>> = Vec::with_capacity(n_points);
         for chunk in chunks.into_iter().take(kept_chunks) {
             let chunk = chunk.expect("chunks before the smallest failing index all succeeded");
-            solutions.extend(chunk.xs);
+            for x in &chunk.xs {
+                columns.push(x);
+            }
             stats.merge(&chunk.stats);
         }
         let mut values = values;
-        values.truncate(solutions.len());
-
-        // Output columns: node voltages / branch currents, then per-device
-        // currents (same layout as the legacy engine result).
-        let var_names = mna_var_names(&mats.mna);
-        let mut names = var_names.clone();
-        for b in mats.mna.nonlinear_bindings() {
-            names.push(format!("I({})", b.name));
-        }
-        for m in mats.mna.mosfet_bindings() {
-            names.push(format!("I({})", m.name));
-        }
-        let mut columns: Vec<Vec<f64>> = vec![Vec::with_capacity(n_points); names.len()];
-        let mut flops = FlopCounter::new();
-        for x in &solutions {
-            for (i, &xi) in x.iter().enumerate() {
-                columns[i].push(xi);
-            }
-            let mut col = var_names.len();
-            for b in mats.mna.nonlinear_bindings() {
-                let v = branch_voltage(x, b.var_plus, b.var_minus);
-                columns[col].push(b.device.current(v, &mut flops));
-                col += 1;
-            }
-            for m in mats.mna.mosfet_bindings() {
-                let vd = m.var_drain.map_or(0.0, |i| x[i]);
-                let vg = m.var_gate.map_or(0.0, |i| x[i]);
-                let vs = m.var_source.map_or(0.0, |i| x[i]);
-                columns[col].push(m.model.ids(vg - vs, vd - vs, &mut flops));
-                col += 1;
-            }
-        }
-        stats.flops += flops;
+        values.truncate(n_points.min(kept_chunks * SWEEP_CHUNK));
         stats.elapsed = t0.elapsed();
-        let ds = Dataset::new(
-            AnalysisKind::Dc,
-            "swec",
-            Axis::Sweep { source, values },
-            names,
-            columns,
-            stats,
-        );
+        let ds = Dataset::from_dc_sweep("swec", &source, columns.finish(values, stats));
         Ok(match truncated_after {
             Some(at) => ds.truncated(at),
             None => ds,
         })
     }
+}
+
+/// Runs the preflight static analyzer on `circuit` under `mode`; under
+/// [`PreflightMode::Enforce`], error-severity diagnostics are an error.
+fn run_preflight(circuit: &Circuit, mode: PreflightMode) -> Result<nanosim_circuit::LintReport> {
+    if mode == PreflightMode::Off {
+        return Ok(nanosim_circuit::LintReport::default());
+    }
+    let report = nanosim_circuit::lint_circuit(circuit);
+    if mode == PreflightMode::Enforce && report.has_errors() {
+        return Err(SimError::Preflight(Box::new(report)));
+    }
+    Ok(report)
 }
 
 /// One chunk's solutions and work accounting.
@@ -757,171 +683,6 @@ fn tag_chunk_failure(e: SimError, ci: usize) -> SimError {
     }
 }
 
-/// Attaches the failing point index and sweep value to a per-point
-/// non-convergence error.
-fn tag_sweep_failure(e: SimError, k: usize, value: f64) -> SimError {
-    match e {
-        SimError::NonConvergence {
-            at,
-            context,
-            forensics,
-        } => {
-            let mut fx = forensics.map_or_else(Forensics::default, |b| *b);
-            fx.point_index = Some(k);
-            fx.sweep_value = Some(value);
-            SimError::non_convergence_with(at, context, fx)
-        }
-        SimError::BudgetExceeded {
-            stop,
-            context,
-            forensics,
-        } => {
-            let mut fx = forensics.map_or_else(Forensics::default, |b| *b);
-            fx.point_index = Some(k);
-            fx.sweep_value = Some(value);
-            SimError::budget_exceeded_with(stop, context, fx)
-        }
-        other => other,
-    }
-}
-
-/// Solves sweep points `lo..hi` on a fresh clone of `base_ws` (see
-/// [`Simulator::run_dc_sweep`] for the warm-start contract).
-#[allow(clippy::too_many_arguments)]
-fn sweep_chunk(
-    engine: &SwecDcSweep,
-    mats: &CircuitMatrices,
-    base_ws: &AssemblyWorkspace,
-    base_lu: LuStats,
-    source: &str,
-    sweep_start: f64,
-    values: &[f64],
-    lo: usize,
-    hi: usize,
-    warm_seed: Option<&[f64]>,
-    ramp_steps: usize,
-    meter: &BudgetMeter,
-) -> Result<SweepChunk> {
-    let mut ws = base_ws.clone();
-    let mut buf = DcBuffers::default();
-    let mut stats = EngineStats::new();
-    let dim = mats.mna.dim();
-    let fixed_point = engine.options().dc_mode == DcMode::FixedPoint;
-
-    // Per-shard warm start: approach the point *before* this chunk with a
-    // forward non-iterative continuation ramp from the sweep start — the
-    // quasi-transient the paper runs — so through an NDR/hysteresis region
-    // the shard lands on the same branch the serial continuation chain
-    // selects (a fixed point solved from zero could silently converge to
-    // the other branch of a bistable circuit). The ramp iterate is then
-    // refined to self-consistency; at a genuine fold (no unique fixed
-    // point) the ramp iterate is kept, exactly like the serial sweep's
-    // fold fallback.
-    let mut x = vec![0.0; dim];
-    if lo > 0 {
-        let prev = values[lo - 1];
-        meter.checkpoint().map_err(|stop| {
-            SimError::budget_exceeded(stop, format!("dc sweep warm start for point {lo}"))
-        })?;
-        // The first ramp point is normally computed centrally by the
-        // batched multi-RHS warm start (bit-identical to solving it here);
-        // the shard continues the ramp from that seed. On the finer-ramp
-        // rescue retry there is no seed and the whole ramp is recomputed
-        // locally.
-        let first_step = match warm_seed {
-            Some(seed) => {
-                x = seed.to_vec();
-                2
-            }
-            None => 1,
-        };
-        for s in first_step..=ramp_steps {
-            let frac = s as f64 / ramp_steps as f64;
-            let v = sweep_start + (prev - sweep_start) * frac;
-            x = engine
-                .solve_noniterative_ws(
-                    mats,
-                    &mut ws,
-                    &mut buf,
-                    Some((source, v)),
-                    &x,
-                    &mut stats,
-                    &mut meter.fork(),
-                )
-                .map_err(|e| tag_sweep_failure(e, lo - 1, v))?;
-        }
-        match engine.solve_point_ws(
-            mats,
-            &mut ws,
-            &mut buf,
-            Some((source, prev)),
-            &x,
-            None,
-            &mut stats,
-            &mut meter.fork(),
-        ) {
-            Ok(x_new) => x = x_new,
-            Err(SimError::NonConvergence { .. }) => {}
-            Err(e) => return Err(tag_sweep_failure(e, lo - 1, prev)),
-        }
-    }
-
-    let mut xs = Vec::with_capacity(hi - lo);
-    for k in lo..hi {
-        let value = values[k];
-        meter
-            .checkpoint()
-            .map_err(|stop| SimError::budget_exceeded(stop, format!("dc sweep point {k}")))?;
-        // Same per-point policy as the legacy serial engine: the very first
-        // sweep point is always solved to self-consistency; afterwards the
-        // non-iterative mode performs exactly one solve per point, and the
-        // fixed-point mode falls back to a non-iterative step across
-        // bistability folds.
-        x = if k == 0 || fixed_point {
-            match engine.solve_point_ws(
-                mats,
-                &mut ws,
-                &mut buf,
-                Some((source, value)),
-                &x,
-                None,
-                &mut stats,
-                &mut meter.fork(),
-            ) {
-                Ok(x_new) => x_new,
-                Err(SimError::NonConvergence { .. }) if k > 0 => engine
-                    .solve_noniterative_ws(
-                        mats,
-                        &mut ws,
-                        &mut buf,
-                        Some((source, value)),
-                        &x,
-                        &mut stats,
-                        &mut meter.fork(),
-                    )
-                    .map_err(|e| tag_sweep_failure(e, k, value))?,
-                Err(e) => return Err(tag_sweep_failure(e, k, value)),
-            }
-        } else {
-            engine
-                .solve_noniterative_ws(
-                    mats,
-                    &mut ws,
-                    &mut buf,
-                    Some((source, value)),
-                    &x,
-                    &mut stats,
-                    &mut meter.fork(),
-                )
-                .map_err(|e| tag_sweep_failure(e, k, value))?
-        };
-        stats.steps += 1;
-        xs.push(x.clone());
-    }
-    stats.absorb_lu(&base_lu, &ws.lu_stats());
-    Ok(SweepChunk { xs, stats })
-}
-
 /// Runs the same analysis over many circuit variants in parallel — the
 /// parameter-sweep / Monte-Carlo-over-process-variation workload. Each
 /// variant gets its own [`Simulator`] (and therefore its own workspaces),
@@ -949,6 +710,7 @@ pub fn run_ensemble(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::dataset::AnalysisKind;
     use crate::sim::request::Analysis;
     use nanosim_devices::rtd::Rtd;
     use nanosim_devices::sources::SourceWaveform;

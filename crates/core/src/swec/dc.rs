@@ -11,19 +11,20 @@
 //! solution (continuation), so a handful of iterations usually suffice.
 
 use crate::assemble::{
-    branch_voltage, charge_sweep_result, mna_var_names, override_source_rhs,
-    require_sweepable_source, sweep_point_count, AssemblyWorkspace, CircuitMatrices,
+    branch_voltage, mna_var_names, override_source_rhs, require_sweepable_source,
+    sweep_point_count, AssemblyWorkspace, CircuitMatrices, SweepColumns,
 };
 use crate::error::Forensics;
 use crate::report::EngineStats;
 use crate::rescue::{RescueRung, RescueTrace};
-use crate::swec::SwecOptions;
+use crate::swec::{DcMode, SwecOptions};
 use crate::waveform::DcSweepResult;
 use crate::{Result, SimError};
 use nanosim_circuit::Circuit;
 use nanosim_numeric::solve::LuStats;
 use nanosim_numeric::sparse::OrderingChoice;
 use nanosim_numeric::{BudgetMeter, FlopCounter};
+use std::ops::Range;
 use std::time::Instant;
 
 /// Reusable buffers of the DC fixed-point iteration; allocated once per run.
@@ -75,7 +76,8 @@ impl SwecDcSweep {
     ///
     /// # Errors
     /// Fails on invalid sweep parameters, unknown source names, singular
-    /// matrices, or fixed-point non-convergence.
+    /// matrices, or fixed-point non-convergence. A failure at a sweep point
+    /// carries the point's index and value in [`SimError::forensics`].
     pub fn run(
         &self,
         circuit: &Circuit,
@@ -88,96 +90,156 @@ impl SwecDcSweep {
         let t0 = Instant::now();
         let mats = CircuitMatrices::new(circuit)?;
         require_sweepable_source(&mats.mna, source)?;
-        let mut stats = EngineStats::new();
-        let mut ws = AssemblyWorkspace::new(&mats, false, false, OrderingChoice::default());
-        let mut buf = DcBuffers::default();
-
-        let var_names = mna_var_names(&mats.mna);
-        let mut names = var_names.clone();
-        for b in mats.mna.nonlinear_bindings() {
-            names.push(format!("I({})", b.name));
-        }
-        for m in mats.mna.mosfet_bindings() {
-            names.push(format!("I({})", m.name));
-        }
-        // The result shape is known up front: charge it all before any work.
         let mut run_meter = self.meter.fork();
-        charge_sweep_result(&mut run_meter, n_points, 1 + names.len())?;
-        let mut columns: Vec<Vec<f64>> = vec![Vec::with_capacity(n_points); names.len()];
-        let mut sweep = Vec::with_capacity(n_points);
+        let mut columns = SweepColumns::new(&mats.mna, n_points, &mut run_meter)?;
+        let mut ws = AssemblyWorkspace::new(&mats, false, false, OrderingChoice::default());
+        let mut stats = EngineStats::new();
+        self.sweep_points(
+            &mats,
+            &mut ws,
+            (source, start, step),
+            0..n_points,
+            (0, None),
+            &mut stats,
+            &run_meter,
+            |x| columns.push(x),
+        )?;
+        stats.absorb_lu(&LuStats::default(), &ws.lu_stats());
+        stats.elapsed = t0.elapsed();
+        let sweep = (0..n_points).map(|k| start + step * k as f64).collect();
+        Ok(columns.finish(sweep, stats))
+    }
 
+    /// Solves `points` of the sweep of `source` from `start` in increments
+    /// of `step` on a caller-owned workspace, handing each solution to
+    /// `on_point` in order. This is the one SWEC point loop: [`Self::run`]
+    /// calls it once over every point, the sharded session sweep once per
+    /// chunk, so chunk 0 and the serial engine agree by construction.
+    ///
+    /// The first point is solved to self-consistency (there is no previous
+    /// point to borrow `Geq` from); afterwards the non-iterative mode
+    /// performs exactly one solve per point, and the fixed-point mode steps
+    /// across bistability folds with one non-iterative solve.
+    ///
+    /// A range that starts past point 0 first approaches the point before
+    /// it with a forward non-iterative continuation ramp of `ramp_steps`
+    /// solves from the sweep start — the quasi-transient the paper runs — so
+    /// through an NDR/hysteresis region it lands on the branch the serial
+    /// continuation chain selects (a fixed point solved from zero could
+    /// converge to the other branch of a bistable circuit). `ramp_seed`, when
+    /// given, is the ramp's first point, already solved. The ramp iterate is
+    /// then refined to self-consistency, or kept at a genuine fold.
+    ///
+    /// Work is counted into `stats`; factor/refactor accounting is the
+    /// caller's (workspace counts are cumulative). Every point failure
+    /// carries its point index and sweep value in the forensics.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn sweep_points(
+        &self,
+        mats: &CircuitMatrices,
+        ws: &mut AssemblyWorkspace,
+        (source, start, step): (&str, f64, f64),
+        points: Range<usize>,
+        (ramp_steps, ramp_seed): (usize, Option<&[f64]>),
+        stats: &mut EngineStats,
+        meter: &BudgetMeter,
+        mut on_point: impl FnMut(&[f64]),
+    ) -> Result<()> {
+        let point_value = |k: usize| start + step * k as f64;
+        let fixed_point = self.opts.dc_mode == DcMode::FixedPoint;
+        let mut buf = DcBuffers::default();
         let mut x = vec![0.0; mats.mna.dim()];
-        for k in 0..n_points {
-            run_meter
+        if let Some(before) = points.start.checked_sub(1) {
+            let prev = point_value(before);
+            meter.checkpoint().map_err(|stop| {
+                SimError::budget_exceeded(
+                    stop,
+                    format!("dc sweep warm start for point {}", points.start),
+                )
+            })?;
+            let first_step = match ramp_seed {
+                Some(seed) => {
+                    x = seed.to_vec();
+                    2
+                }
+                None => 1,
+            };
+            for s in first_step..=ramp_steps {
+                let frac = s as f64 / ramp_steps as f64;
+                let v = start + (prev - start) * frac;
+                x = self
+                    .solve_noniterative_ws(
+                        mats,
+                        ws,
+                        &mut buf,
+                        Some((source, v)),
+                        &x,
+                        stats,
+                        &mut meter.fork(),
+                    )
+                    .map_err(|e| tag_sweep_failure(e, before, v))?;
+            }
+            match self.solve_point_ws(
+                mats,
+                ws,
+                &mut buf,
+                Some((source, prev)),
+                &x,
+                None,
+                stats,
+                &mut meter.fork(),
+            ) {
+                Ok(x_new) => x = x_new,
+                Err(SimError::NonConvergence { .. }) => {}
+                Err(e) => return Err(tag_sweep_failure(e, before, prev)),
+            }
+        }
+        for k in points {
+            let value = point_value(k);
+            meter
                 .checkpoint()
                 .map_err(|stop| SimError::budget_exceeded(stop, format!("dc sweep point {k}")))?;
-            // Iteration accounting restarts at every point (per-solve cap).
-            let mut pm = run_meter.fork();
-            let value = start + step * k as f64;
-            // The first point is always solved to self-consistency (there is
-            // no previous point to borrow Geq from); afterwards the
-            // non-iterative mode performs exactly one solve per point.
-            x = if k == 0 || self.opts.dc_mode == crate::swec::DcMode::FixedPoint {
+            let solved = if k == 0 || fixed_point {
                 match self.solve_point_ws(
-                    &mats,
-                    &mut ws,
+                    mats,
+                    ws,
                     &mut buf,
                     Some((source, value)),
                     &x,
                     None,
-                    &mut stats,
-                    &mut pm,
+                    stats,
+                    &mut meter.fork(),
                 ) {
-                    Ok(x_new) => x_new,
                     // At a genuine bistability fold the fixed point has no
                     // single answer; step across it like the quasi-transient
                     // the paper runs.
                     Err(SimError::NonConvergence { .. }) if k > 0 => self.solve_noniterative_ws(
-                        &mats,
-                        &mut ws,
+                        mats,
+                        ws,
                         &mut buf,
                         Some((source, value)),
                         &x,
-                        &mut stats,
-                        &mut run_meter.fork(),
-                    )?,
-                    Err(e) => return Err(e),
+                        stats,
+                        &mut meter.fork(),
+                    ),
+                    other => other,
                 }
             } else {
                 self.solve_noniterative_ws(
-                    &mats,
-                    &mut ws,
+                    mats,
+                    ws,
                     &mut buf,
                     Some((source, value)),
                     &x,
-                    &mut stats,
-                    &mut pm,
-                )?
+                    stats,
+                    &mut meter.fork(),
+                )
             };
-            sweep.push(value);
-            for (i, &xi) in x.iter().enumerate() {
-                columns[i].push(xi);
-            }
-            let mut col = var_names.len();
-            let mut flops = FlopCounter::new();
-            for b in mats.mna.nonlinear_bindings() {
-                let v = branch_voltage(&x, b.var_plus, b.var_minus);
-                columns[col].push(b.device.current(v, &mut flops));
-                col += 1;
-            }
-            for m in mats.mna.mosfet_bindings() {
-                let vd = m.var_drain.map_or(0.0, |i| x[i]);
-                let vg = m.var_gate.map_or(0.0, |i| x[i]);
-                let vs = m.var_source.map_or(0.0, |i| x[i]);
-                columns[col].push(m.model.ids(vg - vs, vd - vs, &mut flops));
-                col += 1;
-            }
-            stats.flops += flops;
+            x = solved.map_err(|e| tag_sweep_failure(e, k, value))?;
             stats.steps += 1;
+            on_point(&x);
         }
-        stats.absorb_lu(&LuStats::default(), &ws.lu_stats());
-        stats.elapsed = t0.elapsed();
-        Ok(DcSweepResult::new(sweep, names, columns, stats))
+        Ok(())
     }
 
     /// Solves the operating point of a circuit with all sources at their
@@ -499,26 +561,10 @@ impl SwecDcSweep {
         )
     }
 
-    /// One non-iterative SWEC step: stamp `Geq` at the previous solution
-    /// `x0` and solve once — the paper's DC procedure ("a range of voltages
-    /// were applied ... SWEC is a non iterative method").
-    #[allow(dead_code)] // convenience wrapper kept for tests
-    pub(crate) fn solve_noniterative(
-        &self,
-        mats: &CircuitMatrices,
-        override_src: Option<(&str, f64)>,
-        x0: &[f64],
-        stats: &mut EngineStats,
-    ) -> Result<Vec<f64>> {
-        let mut ws = AssemblyWorkspace::new(mats, false, false, OrderingChoice::default());
-        let mut buf = DcBuffers::default();
-        let mut meter = self.meter.fork();
-        self.solve_noniterative_ws(mats, &mut ws, &mut buf, override_src, x0, stats, &mut meter)
-    }
-
-    /// [`SwecDcSweep::solve_noniterative`] against caller-owned workspace
-    /// and buffers (the sweep's per-point hot path; also the
-    /// [`crate::sim`] sharded-sweep building block).
+    /// One non-iterative SWEC step against caller-owned workspace and
+    /// buffers: stamp `Geq` at the previous solution `x0` and solve once —
+    /// the paper's DC procedure ("a range of voltages were applied ... SWEC
+    /// is a non iterative method"), and the sweep's per-point hot path.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn solve_noniterative_ws(
         &self,
@@ -814,6 +860,34 @@ impl SwecDcSweep {
             ),
             fx,
         ))
+    }
+}
+
+/// Attaches the failing point index and sweep value to a per-point
+/// non-convergence or budget error.
+fn tag_sweep_failure(e: SimError, k: usize, value: f64) -> SimError {
+    match e {
+        SimError::NonConvergence {
+            at,
+            context,
+            forensics,
+        } => {
+            let mut fx = forensics.map_or_else(Forensics::default, |b| *b);
+            fx.point_index = Some(k);
+            fx.sweep_value = Some(value);
+            SimError::non_convergence_with(at, context, fx)
+        }
+        SimError::BudgetExceeded {
+            stop,
+            context,
+            forensics,
+        } => {
+            let mut fx = forensics.map_or_else(Forensics::default, |b| *b);
+            fx.point_index = Some(k);
+            fx.sweep_value = Some(value);
+            SimError::budget_exceeded_with(stop, context, fx)
+        }
+        other => other,
     }
 }
 

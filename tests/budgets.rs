@@ -321,3 +321,32 @@ fn huge_sweep_hits_the_byte_budget_before_allocating() {
         .expect_err("1e11 points cannot fit in 1 MiB");
     is_byte_stop(e.budget_stop(), "nr");
 }
+
+#[test]
+fn serial_engine_reports_the_same_sweep_forensics_as_the_session() {
+    // The serial engine and the session run the same point loop, so a
+    // sweep killed by its budget names the same point in both; the session
+    // only adds the chunk it was solving.
+    use nanosim::core::swec::SwecDcSweep;
+    use nanosim::core::BudgetMeter;
+    let ckt = nanosim::workloads::rtd_divider(50.0);
+    let options = SwecOptions {
+        dc_mode: DcMode::FixedPoint,
+        ..SwecOptions::default()
+    };
+    let budget = Budget::unlimited().with_max_newton_iterations(3);
+    let serial = SwecDcSweep::new(options.clone())
+        .with_meter(BudgetMeter::new(budget, CancelToken::new()))
+        .run(&ckt, "V1", 0.0, 0.75, 0.05)
+        .expect_err("three iterations per point cannot converge the fixed point");
+    let mut sim = Simulator::new(ckt).expect("divider assembles");
+    sim.set_budget(budget);
+    let session = sim
+        .run(Analysis::dc_sweep("V1", 0.0, 0.75, 0.05).options(options))
+        .expect_err("same budget, same failure");
+    let (s, e) = (fingerprint(&serial), fingerprint(&session));
+    assert_eq!(s.1, e.1, "same stop");
+    assert_eq!((s.2, s.3), (e.2, e.3), "same point index and sweep value");
+    assert!(s.2.is_some(), "the serial failure names its point: {}", s.0);
+    assert_eq!(s.0, e.0.replace(" [sweep chunk 0]", ""));
+}

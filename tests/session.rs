@@ -148,6 +148,51 @@ fn ndr_sweep_branch_selection_matches_serial_continuation() {
 }
 
 #[test]
+fn fixed_point_sweeps_are_plan_invariant_and_chunk_0_is_the_engine() {
+    // The fixed-point DC mode through the session: every plan gives the
+    // serial bits across the Figure 7(a) fold, and a sweep that fits one
+    // chunk is the serial engine's sweep exactly.
+    let circuit = nanosim::workloads::rtd_divider(50.0);
+    let options = SwecOptions {
+        dc_mode: DcMode::FixedPoint,
+        ..SwecOptions::default()
+    };
+    let sweep = |sim: &mut Simulator, stop: f64, plan: ExecPlan| {
+        sim.run(
+            Analysis::dc_sweep("V1", 0.0, stop, 0.02)
+                .options(options.clone())
+                .plan(plan),
+        )
+        .expect("fixed-point sweep runs")
+    };
+    let mut sim = Simulator::new(circuit.clone()).unwrap();
+    let serial = sweep(&mut sim, 5.0, ExecPlan::Serial);
+    assert_eq!(serial.points(), 251);
+    for workers in [2usize, 4] {
+        let sharded = sweep(&mut sim, 5.0, ExecPlan::sharded(workers));
+        for name in serial.names() {
+            assert_eq!(
+                serial.column(name),
+                sharded.column(name),
+                "column {name} differs at workers = {workers}"
+            );
+        }
+        assert_eq!(serial.stats.linear_solves, sharded.stats.linear_solves);
+    }
+
+    let stop = (SWEEP_CHUNK - 1) as f64 * 0.02;
+    let short = sweep(&mut sim, stop, ExecPlan::sharded(2));
+    let engine = SwecDcSweep::new(options.clone())
+        .run(&circuit, "V1", 0.0, stop, 0.02)
+        .unwrap();
+    assert_eq!(short.points(), SWEEP_CHUNK);
+    assert_eq!(short.names(), engine.names());
+    for name in engine.names() {
+        assert_eq!(short.column(name), engine.column(name), "column {name}");
+    }
+}
+
+#[test]
 fn em_ensemble_plan_is_a_pure_wall_clock_knob() {
     // The session maps ExecPlan onto EmOptions::threads; results must be
     // bit-identical to the engine-level run at any worker count.
